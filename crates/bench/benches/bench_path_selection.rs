@@ -17,13 +17,14 @@ use tomo_topology::{BriteConfig, BriteGenerator, SparseConfig, SparseGenerator};
 fn prepare(
     network: &tomo_graph::Network,
     seed: u64,
+    num_intervals: usize,
 ) -> (
     tomo_sim::PathObservations,
     Vec<tomo_graph::CorrelationSubset>,
     BTreeSet<LinkId>,
 ) {
     let config = SimulationConfig {
-        num_intervals: 120,
+        num_intervals,
         scenario: ScenarioConfig::no_independence(),
         loss: LossModel::default(),
         measurement: MeasurementMode::Ideal,
@@ -46,7 +47,7 @@ fn bench_selection_brite(c: &mut Criterion) {
         cfg.routers_per_as = 6;
         cfg.num_paths = ases * 20;
         let network = BriteGenerator::new(cfg).generate().unwrap();
-        let (obs, targets, pc) = prepare(&network, 5);
+        let (obs, targets, pc) = prepare(&network, 5, 120);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{ases}ases_{}targets", targets.len())),
             &network,
@@ -60,6 +61,27 @@ fn bench_selection_brite(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_selection_paper_scale(c: &mut Criterion) {
+    // The paper's Fig. 4 instance size: 1068 Brite links, 300 ideal
+    // intervals, subsets up to size 2 (the `CorrelationCompleteConfig`
+    // default). Congestion seed 7 needs 203 augmentation rounds over 1020
+    // targets, most of whose candidate scans come up empty, so the entry
+    // gates the resumed per-target scans: restarting them after every fold
+    // takes about 16x longer here.
+    let mut group = c.benchmark_group("algorithm1_path_selection_brite");
+    group.sample_size(10);
+    let network = BriteGenerator::sized(1000, 1).generate().unwrap();
+    let (obs, targets, pc) = prepare(&network, 7, 300);
+    group.bench_with_input(
+        BenchmarkId::from_parameter(format!("paper_{}links", network.num_links())),
+        &network,
+        |b, net| {
+            b.iter(|| select_path_sets(net, &obs, &targets, &pc, &PathSelectionConfig::default()))
+        },
+    );
+    group.finish();
+}
+
 fn bench_selection_sparse(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_path_selection_sparse");
     group.sample_size(10);
@@ -68,7 +90,7 @@ fn bench_selection_sparse(c: &mut Criterion) {
         cfg.num_ases = ases;
         cfg.num_traceroutes = ases * 3;
         let network = SparseGenerator::new(cfg).generate().unwrap();
-        let (obs, targets, pc) = prepare(&network, 7);
+        let (obs, targets, pc) = prepare(&network, 7, 120);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{ases}ases_{}targets", targets.len())),
             &network,
@@ -96,7 +118,7 @@ fn bench_selection_reference(c: &mut Criterion) {
     bcfg.routers_per_as = 6;
     bcfg.num_paths = 24 * 20;
     let brite = BriteGenerator::new(bcfg).generate().unwrap();
-    let (obs, targets, pc) = prepare(&brite, 5);
+    let (obs, targets, pc) = prepare(&brite, 5, 120);
     group.bench_with_input(
         BenchmarkId::from_parameter(format!("brite_24ases_{}targets", targets.len())),
         &brite,
@@ -117,7 +139,7 @@ fn bench_selection_reference(c: &mut Criterion) {
     scfg.num_ases = 60;
     scfg.num_traceroutes = 60 * 3;
     let sparse = SparseGenerator::new(scfg).generate().unwrap();
-    let (obs, targets, pc) = prepare(&sparse, 7);
+    let (obs, targets, pc) = prepare(&sparse, 7, 120);
     group.bench_with_input(
         BenchmarkId::from_parameter(format!("sparse_60ases_{}targets", targets.len())),
         &sparse,
@@ -140,6 +162,7 @@ fn bench_selection_reference(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_selection_brite,
+    bench_selection_paper_scale,
     bench_selection_sparse,
     bench_selection_reference
 );

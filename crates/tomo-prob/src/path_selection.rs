@@ -37,6 +37,30 @@
 //! `SortByHammingWeight` are tracked incrementally across basis updates
 //! instead of being recounted from scratch at every admission.
 //!
+//! ## Resumed candidate scans
+//!
+//! A candidate is rejected for one of three reasons, and each is permanent:
+//!
+//! - it was already selected or tried (`seen`), and that set only grows;
+//! - it induces a subset outside the target list (unclean), which depends on
+//!   the candidate alone;
+//! - its row misses the null space (`r·N = 0`). Every fold adds a row, so
+//!   the null space only shrinks: a new basis is a combination of the old
+//!   columns, and a row orthogonal to all of them stays orthogonal to it.
+//!   (The test is `|r·N_c| ≤ tol` per column, so in floating point this
+//!   holds up to rounding, far below `tol` for 0/1 rows; the oracle
+//!   comparisons below pin it on instances with many rounds.)
+//!
+//! So [`select_path_sets`] keeps one enumeration cursor per target, and each
+//! augmentation round resumes every scan where the previous round left it
+//! instead of restarting it; a target whose cursor is exhausted is skipped in
+//! O(1). The visited sequence, the `SortByHammingWeight` order and the first
+//! accepted candidate of each round are the ones a restarted scan would
+//! produce, so the selection is unchanged, but each candidate is evaluated
+//! at most once per fit: at most `Σ_t min(budget, 2^|P_t| − 1)` evaluations
+//! (`P_t` the observing paths of target `t`), instead of that sum times the
+//! number of augmentation rounds.
+//!
 //! [`select_path_sets_reference`] retains the original element-wise
 //! implementation as the behavioral oracle: both must select the identical
 //! path sets in the identical order (see the equivalence tests and the
@@ -465,50 +489,47 @@ pub fn select_path_sets(
     }
 
     // --- Augmentation loop (lines 8–22) -------------------------------------
+    // Every rejection is permanent (see the module docs), so each target's
+    // candidate scan resumes where the previous round left it.
+    let mut cursors: Vec<SubsetCursor> = observing_paths
+        .iter()
+        .map(|base| SubsetCursor::new(base.len(), config.max_candidates_per_subset))
+        .collect();
+    let mut candidate = Vec::new();
     let mut augmented_count = 0usize;
     while tracker.nullity() > 0 {
         // SortByHammingWeight over the incrementally maintained weights.
+        // Rows of weight 0 cannot move the null space in their own direction
+        // and rarely help others; skip them for speed (they sort last
+        // anyway), together with the targets whose scan is exhausted.
         let mut order: Vec<(usize, usize)> = tracker
             .weights
             .iter()
             .enumerate()
+            .filter(|&(i, &w)| w > 0 && !cursors[i].is_exhausted())
             .map(|(i, &w)| (w, i))
             .collect();
         order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        let mut found: Option<(Vec<PathId>, Vec<usize>)> = None;
-        'targets: for (weight, target_idx) in order {
-            if weight == 0 {
-                // Rows of weight 0 cannot move the null space in their own
-                // direction and rarely help others; skip them for speed
-                // (they sort last anyway).
-                continue;
-            }
+        let mut found: Option<Vec<usize>> = None;
+        'targets: for (_, target_idx) in order {
             let base = &observing_paths[target_idx];
-            if base.is_empty() {
-                continue;
-            }
-            let mut local: Option<(Vec<PathId>, Vec<usize>)> = None;
-            for_each_subset_by_size(base, config.max_candidates_per_subset, |candidate| {
-                ctx.path_bitmap_into(candidate, &mut path_bm);
+            let cursor = &mut cursors[target_idx];
+            while cursor.next_into(base, &mut candidate) {
+                ctx.path_bitmap_into(&candidate, &mut path_bm);
                 if seen_sets.contains(path_bm.as_slice()) {
-                    return false;
+                    continue;
                 }
-                if !ctx.target_row_cols(candidate, &mut union, &mut inter, &mut sids, &mut cols) {
-                    return false;
+                if !ctx.target_row_cols(&candidate, &mut union, &mut inter, &mut sids, &mut cols) {
+                    continue;
                 }
                 if tracker.row_hits(&cols, config.tol) {
-                    local = Some((candidate.to_vec(), cols.clone()));
-                    return true;
+                    found = Some(cols.clone());
+                    break 'targets;
                 }
-                false
-            });
-            if local.is_some() {
-                found = local;
-                break 'targets;
             }
         }
-        let Some((new_set, new_cols)) = found else {
+        let Some(new_cols) = found else {
             break;
         };
         if !tracker.fold(&new_cols) {
@@ -516,9 +537,9 @@ pub fn select_path_sets(
             // guard against numerical disagreement to avoid looping.
             break;
         }
-        ctx.path_bitmap_into(&new_set, &mut path_bm);
+        // `path_bm` still holds the accepted candidate's bitmap.
         seen_sets.insert(path_bm.clone());
-        path_sets.push((new_set, new_cols));
+        path_sets.push((candidate.clone(), new_cols));
         augmented_count += 1;
     }
 
@@ -728,49 +749,93 @@ fn row_hits_nullspace(row: &[f64], nullspace: &Matrix, tol: f64) -> bool {
     false
 }
 
-/// Enumerates the non-empty subsets of `base` in increasing cardinality,
+/// Resumable enumeration of the non-empty subsets of a base set of `n`
+/// items, in increasing cardinality and capped at a budget. The full set
+/// comes first: it is the single most informative equation (it ties all the
+/// subsets of the target together), and trying it first mirrors the seeding
+/// phase. The proper subsets follow, size by size, each size in
+/// lexicographic order of indices.
+///
+/// The cursor only holds its position, not the base, so one cursor per
+/// target can be parked between augmentation rounds and resumed where it
+/// stopped.
+#[derive(Clone, Debug)]
+struct SubsetCursor {
+    /// Items the budget still allows; 0 once the cursor is exhausted.
+    remaining: usize,
+    /// Indices into the base of the next proper subset to yield; empty
+    /// while the full set is still due.
+    indices: Vec<usize>,
+}
+
+impl SubsetCursor {
+    fn new(n: usize, budget: usize) -> Self {
+        Self {
+            remaining: if n == 0 { 0 } else { budget },
+            indices: Vec::new(),
+        }
+    }
+
+    fn is_exhausted(&self) -> bool {
+        self.remaining == 0
+    }
+
+    /// Writes the next subset of `base` into `out`; returns `false` (and
+    /// leaves `out` untouched) once the cursor is exhausted. `base` must be
+    /// the same `n`-item slice on every call.
+    fn next_into(&mut self, base: &[PathId], out: &mut Vec<PathId>) -> bool {
+        if self.remaining == 0 {
+            return false;
+        }
+        self.remaining -= 1;
+        out.clear();
+        if self.indices.is_empty() {
+            out.extend_from_slice(base);
+        } else {
+            out.extend(self.indices.iter().map(|&i| base[i]));
+        }
+        self.advance(base.len());
+        true
+    }
+
+    /// Moves to the subset after the one just yielded: the next combination
+    /// of the same size, else the first one of the next size, else
+    /// exhaustion (the full set is not repeated at size `n`).
+    fn advance(&mut self, n: usize) {
+        let size = self.indices.len();
+        let mut i = size;
+        while i > 0 {
+            i -= 1;
+            if self.indices[i] < i + n - size {
+                self.indices[i] += 1;
+                for j in (i + 1)..size {
+                    self.indices[j] = self.indices[j - 1] + 1;
+                }
+                return;
+            }
+        }
+        if size + 1 >= n {
+            self.remaining = 0;
+            return;
+        }
+        self.indices.clear();
+        self.indices.extend(0..=size);
+    }
+}
+
+/// Enumerates the non-empty subsets of `base` in [`SubsetCursor`] order,
 /// invoking `visit` on each until it returns `true` (stop) or `budget`
-/// subsets have been visited. The full set is always tried first: it is the
-/// single most informative equation (it ties all the subsets of the target
-/// together), and trying it first mirrors the seeding phase.
+/// subsets have been visited.
 fn for_each_subset_by_size(
     base: &[PathId],
     budget: usize,
     mut visit: impl FnMut(&[PathId]) -> bool,
 ) {
-    if base.is_empty() || budget == 0 {
-        return;
-    }
-    let mut used = 0usize;
-    // Full set first.
-    used += 1;
-    if visit(base) || used >= budget {
-        return;
-    }
-    let n = base.len();
-    for size in 1..n {
-        let mut indices: Vec<usize> = (0..size).collect();
-        'combos: loop {
-            let candidate: Vec<PathId> = indices.iter().map(|&i| base[i]).collect();
-            used += 1;
-            if visit(&candidate) || used >= budget {
-                return;
-            }
-            // Advance the combination.
-            let mut i = size;
-            loop {
-                if i == 0 {
-                    break 'combos;
-                }
-                i -= 1;
-                if indices[i] < i + n - size {
-                    indices[i] += 1;
-                    for j in (i + 1)..size {
-                        indices[j] = indices[j - 1] + 1;
-                    }
-                    break;
-                }
-            }
+    let mut cursor = SubsetCursor::new(base.len(), budget);
+    let mut candidate = Vec::with_capacity(base.len());
+    while cursor.next_into(base, &mut candidate) {
+        if visit(&candidate) {
+            return;
         }
     }
 }
@@ -973,6 +1038,60 @@ mod tests {
             false
         });
         assert_eq!(count, 3);
+    }
+
+    #[test]
+    fn subset_cursor_resumes_where_it_stopped() {
+        let drain = |cursor: &mut SubsetCursor, base: &[PathId]| {
+            let mut out = Vec::new();
+            let mut items = Vec::new();
+            while cursor.next_into(base, &mut out) {
+                items.push(out.clone());
+            }
+            items
+        };
+        for n in 0..=7usize {
+            let base: Vec<PathId> = (0..n).map(|i| PathId(10 + i)).collect();
+            for budget in [0usize, 1, 2, 5, 2048] {
+                let full = drain(&mut SubsetCursor::new(n, budget), &base);
+                assert_eq!(
+                    full.len(),
+                    budget.min((1usize << n) - 1),
+                    "n={n} budget={budget}"
+                );
+                if let Some(first) = full.first() {
+                    assert_eq!(first, &base, "n={n} budget={budget}");
+                }
+                // Proper subsets follow in nondecreasing size, each once.
+                let distinct: BTreeSet<&Vec<PathId>> = full.iter().collect();
+                assert_eq!(distinct.len(), full.len());
+                assert!(full.iter().skip(1).all(|s| s.len() < n));
+                assert!(full.windows(2).skip(1).all(|w| w[0].len() <= w[1].len()));
+
+                let mut visited = Vec::new();
+                for_each_subset_by_size(&base, budget, |s| {
+                    visited.push(s.to_vec());
+                    false
+                });
+                assert_eq!(visited, full, "n={n} budget={budget}");
+
+                for k in 0..=full.len() {
+                    let mut cursor = SubsetCursor::new(n, budget);
+                    let mut out = Vec::new();
+                    let mut resumed = Vec::new();
+                    for _ in 0..k {
+                        assert!(cursor.next_into(&base, &mut out));
+                        resumed.push(out.clone());
+                    }
+                    // Park the cursor while another one runs, then resume.
+                    drain(&mut SubsetCursor::new(n, budget), &base);
+                    assert_eq!(cursor.is_exhausted(), k == full.len());
+                    resumed.extend(drain(&mut cursor, &base));
+                    assert_eq!(resumed, full, "n={n} budget={budget} k={k}");
+                    assert!(cursor.is_exhausted());
+                }
+            }
+        }
     }
 
     #[test]

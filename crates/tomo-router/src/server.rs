@@ -48,7 +48,7 @@ impl Router {
     /// Binds the router to `addr`, fronting `fleet`. `threads` sizes the
     /// proxy worker pool; `max_conns` bounds client connections (surplus
     /// accepts get a typed `Overloaded` envelope, exactly like the
-    /// daemon's own limit).
+    /// daemon's own limit). The workers are named `route-w:<port>`.
     pub fn bind(
         addr: &str,
         fleet: Fleet,
@@ -60,10 +60,11 @@ impl Router {
             ..NetConfig::default()
         };
         let event_loop = EventLoop::bind(addr, config)?;
+        let port = event_loop.local_addr()?.port();
         Ok(Self {
             event_loop,
             fleet: Arc::new(fleet),
-            pool: Arc::new(WorkerPool::new(threads)),
+            pool: Arc::new(WorkerPool::new(threads, &format!("route-w:{port}"))),
         })
     }
 

@@ -62,7 +62,9 @@ impl Server {
     /// Binds the daemon to `addr` (e.g. `127.0.0.1:7070`; port 0 picks an
     /// ephemeral port, see [`Server::local_addr`]). `threads` sizes the CPU
     /// worker pool — connections are multiplexed on one I/O thread and do
-    /// **not** occupy workers while idle.
+    /// **not** occupy workers while idle. The workers are named
+    /// `serve-w:<port>`, so a process hosting several daemons can tell their
+    /// threads apart.
     pub fn bind(
         addr: &str,
         registry: Arc<EngineRegistry>,
@@ -86,11 +88,12 @@ impl Server {
         };
         let event_loop = EventLoop::bind(addr, config).map_err(TomoError::from)?;
         let shutdown = event_loop.shutdown_flag();
+        let port = event_loop.local_addr()?.port();
         Ok(Self {
             event_loop,
             registry,
             shutdown,
-            pool: Arc::new(WorkerPool::new(threads)),
+            pool: Arc::new(WorkerPool::new(threads, &format!("serve-w:{port}"))),
         })
     }
 

@@ -22,14 +22,15 @@ fn default_registry(config: RegistryConfig) -> EngineRegistry {
     registry
 }
 
-/// Current thread count of this process (Linux `/proc/self/status`).
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
+/// Number of this process's threads named `name` (Linux
+/// `/proc/self/task/*/comm`). Counting by name leaves out the threads of
+/// other tests' servers, which may still be starting or shutting down.
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("proc task dir")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
 }
 
 #[test]
@@ -192,14 +193,24 @@ fn thread_count_stays_flat_as_connections_pile_up() {
         4,
     )
     .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = std::thread::spawn(move || server.run().expect("server runs"));
+    let local = server.local_addr().unwrap();
+    let addr = local.to_string();
+    // The event loop runs on this named thread; the server names its
+    // workers after the port. A thread spawned by either inherits its name.
+    let io_name = format!("serve-io:{}", local.port());
+    let worker_name = format!("serve-w:{}", local.port());
+    let handle = std::thread::Builder::new()
+        .name(io_name.clone())
+        .spawn(move || server.run().expect("server runs"))
+        .unwrap();
+    let thread_count = || threads_named(&io_name) + threads_named(&worker_name);
 
     // Warm up: one round trip so the loop and pool threads all exist.
     let mut warm = Client::connect(&addr).unwrap();
     warm.set_tenant("default");
     warm.stats().unwrap();
     let baseline = thread_count();
+    assert_eq!(baseline, 1 + 4, "one event-loop thread and four workers");
 
     // 300 live connections, each exercised once. A thread-per-connection
     // server would add ~300 threads here; the event-driven one adds zero.

@@ -165,8 +165,10 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
+    /// Spawns a pool with `threads` workers (clamped to at least 1), each
+    /// named `name` (shown in `/proc/<pid>/task/*/comm`; Linux keeps the
+    /// first 15 bytes).
+    pub fn new(threads: usize, name: &str) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue {
                 jobs: VecDeque::new(),
@@ -179,7 +181,10 @@ impl WorkerPool {
         let workers = (0..threads.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::Builder::new()
+                    .name(name.to_string())
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker thread")
             })
             .collect();
         Self { shared, workers }
@@ -317,12 +322,13 @@ mod tests {
 
     #[test]
     fn worker_pool_runs_every_submitted_job() {
-        let pool = WorkerPool::new(4);
+        let pool = WorkerPool::new(4, "pool-test");
         assert_eq!(pool.num_threads(), 4);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..64 {
             let counter = Arc::clone(&counter);
             pool.submit(move || {
+                assert_eq!(std::thread::current().name(), Some("pool-test"));
                 counter.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -333,7 +339,7 @@ mod tests {
 
     #[test]
     fn worker_pool_contains_job_panics() {
-        let pool = WorkerPool::new(2);
+        let pool = WorkerPool::new(2, "pool-test");
         let counter = Arc::new(AtomicUsize::new(0));
         pool.submit(|| panic!("job exploded")).unwrap();
         for _ in 0..8 {
@@ -352,11 +358,11 @@ mod tests {
         // Shutdown discards unstarted jobs and joins workers; a fresh pool
         // still works afterwards (nothing global is poisoned).
         {
-            let pool = WorkerPool::new(1);
+            let pool = WorkerPool::new(1, "pool-test");
             pool.submit(|| std::thread::sleep(std::time::Duration::from_millis(5)))
                 .unwrap();
         }
-        let pool = WorkerPool::new(1);
+        let pool = WorkerPool::new(1, "pool-test");
         let done = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&done);
         pool.submit(move || flag.store(true, Ordering::Relaxed))
