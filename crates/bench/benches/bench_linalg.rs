@@ -8,7 +8,7 @@ use tomo_linalg::{
     least_squares, nullspace, nullspace_update, sparse_least_squares, LstsqOptions, Matrix,
     SparseMatrix, Vector,
 };
-use tomo_prob::{Independence, IndependenceConfig, ProbabilityComputation};
+use tomo_prob::{Independence, ProbabilityComputation};
 use tomo_sim::{LossModel, MeasurementMode, ScenarioConfig, SimulationConfig, Simulator};
 use tomo_topology::{BriteConfig, BriteGenerator};
 
@@ -105,10 +105,10 @@ fn bench_brite_large_fit(c: &mut Criterion) {
         seed: 11,
     };
     let output = Simulator::new(config).run(&network);
-    let algo = Independence::new(IndependenceConfig {
-        compute_identifiability: false,
-        ..IndependenceConfig::default()
-    });
+    // The registry default, identifiability on: it comes from the sparse
+    // echelon form, so it stays a small share of the fit rather than a dense
+    // elimination over every unknown.
+    let algo = Independence::default();
     let mut group = c.benchmark_group("brite_large_fit");
     group.sample_size(10);
     group.bench_with_input(

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use tomo_graph::{LinkId, Network, PathId};
 use tomo_linalg::{
     least_squares, nullspace_update, should_use_sparse, sparse_least_squares, LstsqOptions,
-    LuFactors, Matrix, SparseMatrix, Vector,
+    LuFactors, Matrix, SparseMatrix, Vector, DEFAULT_TOL,
 };
 use tomo_prob::result::EstimateDiagnostics;
 use tomo_prob::subsets::potentially_congested_links;
@@ -233,9 +233,10 @@ struct Structure {
     /// The assembled system (one row per active set, one column per pc
     /// link) with its cached solver.
     solver: SystemSolver,
-    /// Per-unknown identifiability derived from the null-space basis.
+    /// Per-unknown identifiability: from the null-space basis on the dense
+    /// path, from the sparse echelon form on the sparse one.
     identifiable: Vec<bool>,
-    /// Rank of the system matrix (`columns − basis columns`).
+    /// Rank of the system matrix.
     rank: usize,
 }
 
@@ -488,12 +489,13 @@ impl OnlineIndependence {
                     .collect();
                 (identifiable, n - basis.cols())
             }
-            // At sparse scale the batch solvers run with identifiability
-            // reporting off (folding a dense n×n identity basis is exactly
-            // the cost wall the CSR path removes), and so does the online
-            // form: every unknown is reported identifiable, the rank is the
-            // generic bound — the same numbers a batch fit publishes.
-            SystemSolver::Sparse(csr) => (vec![true; n], n.min(csr.rows())),
+            // The batch fit's sparse route makes the same call, so both
+            // report the same flags and rank; folding a dense n×n identity
+            // basis here would be the cost wall the CSR path removes.
+            SystemSolver::Sparse(csr) => {
+                let (rank, identifiable) = csr.identifiability(DEFAULT_TOL);
+                (identifiable, rank)
+            }
         };
 
         self.structure = Some(Structure {
@@ -1282,6 +1284,53 @@ mod tests {
             );
         }
         assert!(online.deviation_from_batch(&net).unwrap() < 1e-5);
+    }
+
+    #[test]
+    fn sparse_scale_identifiability_matches_batch_fit() {
+        use tomo_sim::{LossModel, MeasurementMode, ScenarioConfig, SimulationConfig, Simulator};
+        use tomo_topology::BriteGenerator;
+
+        let net = BriteGenerator::sized(300, 1)
+            .generate()
+            .expect("Brite generation");
+        let config = SimulationConfig {
+            num_intervals: 120,
+            scenario: ScenarioConfig::no_independence(),
+            loss: LossModel::default(),
+            measurement: MeasurementMode::Ideal,
+            seed: 5,
+        };
+        let obs = Simulator::new(config).run(&net).observations;
+        let mut online = OnlineIndependence::default();
+        for batch in batches(&obs, 40) {
+            online.ingest(&net, &batch).unwrap();
+        }
+        let structure = online.structure.as_ref().expect("fitted");
+        assert!(
+            matches!(structure.solver, SystemSolver::Sparse(_)),
+            "instance must take the sparse dispatch"
+        );
+
+        let batch_est = Independence::default().compute(&net, &obs);
+        let online_est = online.estimate().expect("fitted");
+        for l in net.link_ids() {
+            assert_eq!(
+                batch_est.link_is_identifiable(l),
+                online_est.link_is_identifiable(l),
+                "identifiability of {l}"
+            );
+        }
+        assert_eq!(batch_est.diagnostics.rank, online_est.diagnostics.rank);
+        assert_eq!(
+            batch_est.diagnostics.identifiable_targets,
+            online_est.diagnostics.identifiable_targets
+        );
+        assert!(
+            online_est.diagnostics.identifiable_targets < online_est.diagnostics.total_targets,
+            "no unidentifiable link: {:?}",
+            online_est.diagnostics
+        );
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   update after appending one row to the system matrix).
 //! * [`lstsq`] — least-squares solving (QR-based with a regularized
 //!   normal-equation fallback for rank-deficient systems).
-//! * [`sparse`] — CSR representation of the 0/1 routing systems and a
-//!   conjugate-gradient least-squares solve that touches only the nonzeros;
-//!   the dense solvers above remain the reference oracle.
+//! * [`sparse`] — CSR representation of the 0/1 routing systems, a
+//!   conjugate-gradient least-squares solve that touches only the nonzeros,
+//!   and identifiability from a sparse echelon form; the dense solvers
+//!   above remain the reference oracle.
 //! * [`lu`] — partial-pivoting LU factors for factor-once / solve-many
 //!   callers (the cached online pseudo-solvers).
 //!

@@ -24,6 +24,10 @@ use crate::qr::qr_least_squares;
 use crate::vector::Vector;
 use crate::DEFAULT_TOL;
 
+/// A null-space (or reduced-row) entry above this magnitude makes an unknown
+/// unidentifiable: it is the threshold both identifiability routes share.
+pub(crate) const IDENTIFIABLE_TOL: f64 = 1e-7;
+
 /// Options controlling the least-squares solver.
 #[derive(Clone, Debug)]
 pub struct LstsqOptions {
@@ -74,6 +78,13 @@ pub struct LstsqSolution {
     pub identifiable: Vec<bool>,
     /// `true` when the rank-deficient fallback (ridge) path was used.
     pub used_ridge_fallback: bool,
+    /// Iterations the iterative (conjugate-gradient) solver took; `0` for
+    /// the direct dense solves.
+    pub iterations: usize,
+    /// `false` when the solver gave up rather than solving: the sparse CG
+    /// hit its iteration cap or a non-positive or non-finite step, or the
+    /// dense ridge elimination failed and `x` is all zeros.
+    pub converged: bool,
 }
 
 impl LstsqSolution {
@@ -97,6 +108,8 @@ pub fn least_squares(a: &Matrix, b: &Vector, opts: &LstsqOptions) -> LstsqSoluti
             rank: 0,
             identifiable: Vec::new(),
             used_ridge_fallback: false,
+            iterations: 0,
+            converged: true,
         };
     }
 
@@ -108,7 +121,7 @@ pub fn least_squares(a: &Matrix, b: &Vector, opts: &LstsqOptions) -> LstsqSoluti
         let mut identifiable = vec![true; n];
         for i in 0..n {
             for j in 0..ns.cols() {
-                if ns[(i, j)].abs() > 1e-7 {
+                if ns[(i, j)].abs() > IDENTIFIABLE_TOL {
                     identifiable[i] = false;
                     break;
                 }
@@ -131,6 +144,8 @@ pub fn least_squares(a: &Matrix, b: &Vector, opts: &LstsqOptions) -> LstsqSoluti
                 rank,
                 identifiable,
                 used_ridge_fallback: false,
+                iterations: 0,
+                converged: true,
             };
         }
     }
@@ -142,12 +157,12 @@ pub fn least_squares(a: &Matrix, b: &Vector, opts: &LstsqOptions) -> LstsqSoluti
         ata[(i, i)] += opts.ridge;
     }
     let atb = at.matvec(b);
-    let x = solve_square(&ata, &atb).unwrap_or_else(|| {
-        // With the ridge term the system should always be regular; if the
-        // numerics still fail (pathological scaling) return zeros rather
-        // than panicking deep inside an experiment sweep.
-        Vector::zeros(n)
-    });
+    // With the ridge term the system should always be regular; if the
+    // numerics still fail (pathological scaling) return zeros rather than
+    // panicking deep inside an experiment sweep, and say so.
+    let solved = solve_square(&ata, &atb);
+    let converged = solved.is_some();
+    let x = solved.unwrap_or_else(|| Vector::zeros(n));
     let residual = &a.matvec(&x) - b;
     LstsqSolution {
         residual_norm_sq: residual.dot(&residual),
@@ -155,6 +170,8 @@ pub fn least_squares(a: &Matrix, b: &Vector, opts: &LstsqOptions) -> LstsqSoluti
         rank,
         identifiable,
         used_ridge_fallback: true,
+        iterations: 0,
+        converged,
     }
 }
 

@@ -14,15 +14,28 @@
 //! `range(AᵀA)`, so on rank-deficient systems the unidentifiable null-space
 //! components stay (numerically) zero — exactly the behaviour of the dense
 //! ridge solve — and the effective condition number is governed by the
-//! *nonzero* singular values only.
+//! *nonzero* singular values only. The iteration works in buffers allocated
+//! once per solve.
+//!
+//! Identifiability never leaves the sparse form either.
+//! [`SparseMatrix::identifiability`] grows a fully reduced sparse echelon
+//! basis of the row space one CSR row at a time: every basis row holds its
+//! own pivot column and no other, so an incoming row is reduced by one pass
+//! over the pivot columns it touches, and a new pivot is eliminated from the
+//! earlier rows that hold it through a column → rows index. Unknown `i` is
+//! identifiable iff `e_i` lies in the row space, i.e. iff `i` is a pivot whose
+//! reduced row carries no other entry. The cost is `O(Σ row fill)` — the
+//! entries the reduced rows actually hold — where the dense null-space
+//! elimination costs `O(rows · cols · rank)` and materializes `A` twice.
 //!
 //! The dense path remains the reference oracle: property tests assert the
-//! sparse solve matches [`least_squares`](crate::lstsq::least_squares) across
-//! densities.
+//! sparse solve and the echelon identifiability match
+//! [`least_squares`](crate::lstsq::least_squares) and
+//! [`nullspace_with_tol`](crate::nullspace::nullspace_with_tol) across
+//! densities and at routing-system shapes.
 
-use crate::lstsq::{LstsqOptions, LstsqSolution};
+use crate::lstsq::{LstsqOptions, LstsqSolution, IDENTIFIABLE_TOL};
 use crate::matrix::Matrix;
-use crate::nullspace::nullspace_with_tol;
 use crate::vector::Vector;
 
 /// A sparse matrix in compressed-sparse-row form.
@@ -209,14 +222,38 @@ impl SparseMatrix {
         Vector::from_vec(out)
     }
 
-    /// Applies the ridge-regularized normal operator: `Aᵀ(A x) + λ x`,
-    /// without ever forming `AᵀA`. This is the only operator CG needs.
-    pub fn normal_matvec(&self, x: &Vector, ridge: f64) -> Vector {
-        let mut out = self.at_matvec(&self.matvec(x));
+    /// Writes the ridge-regularized normal operator `Aᵀ(A x) + λ x` into
+    /// `out`, without ever forming `AᵀA` or the intermediate `A x`. This is
+    /// the only operator CG needs.
+    ///
+    /// One pass over the rows: `(A x)ᵢ` is final once row `i` is read, and
+    /// scattering it right away adds into `out` in the same order as
+    /// `at_matvec(&matvec(x))` followed by `axpy(ridge, x)`, so the result is
+    /// bit-identical to composing those.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` or `out.len()` differs from `self.cols()`.
+    pub fn normal_matvec_into(&self, x: &Vector, ridge: f64, out: &mut Vector) {
+        assert_eq!(x.len(), self.cols, "normal_matvec dimension mismatch");
+        assert_eq!(out.len(), self.cols, "normal_matvec output length mismatch");
+        let (xs, outs) = (x.as_slice(), out.as_mut_slice());
+        outs.fill(0.0);
+        for i in 0..self.rows {
+            let (cols, vals) = (self.row_cols(i), self.row_values(i));
+            let mut acc = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * xs[c];
+            }
+            if acc == 0.0 {
+                continue;
+            }
+            for (&c, &v) in cols.iter().zip(vals) {
+                outs[c] += v * acc;
+            }
+        }
         if ridge != 0.0 {
             out.axpy(ridge, x);
         }
-        out
     }
 
     /// Assembles the dense normal matrix `AᵀA + λI` directly from the
@@ -241,6 +278,128 @@ impl SparseMatrix {
             ata[(d, d)] += ridge;
         }
         ata
+    }
+
+    /// Rank and per-column identifiability, from a fully reduced sparse
+    /// echelon basis of the row space built one row at a time.
+    ///
+    /// Each row is scattered into a dense work buffer and reduced by the
+    /// basis row of every pivot column it touches (basis rows hold no other
+    /// pivot column, so one pass suffices). Its largest remaining entry, if
+    /// above `tol`, becomes a new pivot: the row is normalized by it and the
+    /// pivot column is eliminated from the earlier basis rows that hold it.
+    /// Entries at or below `tol` count as zero. Column `i` is identifiable
+    /// iff it is a pivot and its reduced row has no other entry above
+    /// `1e-7` — the test "`e_i` ∈ row space", which in exact arithmetic does
+    /// not depend on the pivot order. Agrees with the dense
+    /// [`nullspace_with_tol`](crate::nullspace::nullspace_with_tol) oracle.
+    pub fn identifiability(&self, tol: f64) -> (usize, Vec<bool>) {
+        let n = self.cols;
+        // Basis row `k`: pivot column `pivot[k]` (implicit coefficient 1)
+        // plus the off-pivot entries `off[k]`, sorted by column.
+        let mut pivot: Vec<usize> = Vec::new();
+        let mut off: Vec<Vec<(usize, f64)>> = Vec::new();
+        let mut row_of_pivot: Vec<Option<usize>> = vec![None; n];
+        // Basis rows that may hold column `j`; an entry goes stale when the
+        // coefficient cancels, so readers check the row itself.
+        let mut rows_holding: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut work = vec![0.0; n];
+        let mut in_pattern = vec![false; n];
+        let mut pattern: Vec<usize> = Vec::new();
+        let mut merged: Vec<(usize, f64)> = Vec::new();
+
+        for i in 0..self.rows {
+            pattern.clear();
+            for (c, v) in self.row_entries(i) {
+                work[c] = v;
+                in_pattern[c] = true;
+                pattern.push(c);
+            }
+            for (c, _) in self.row_entries(i) {
+                let Some(k) = row_of_pivot[c] else { continue };
+                let f = work[c];
+                work[c] = 0.0;
+                for &(j, v) in &off[k] {
+                    if !in_pattern[j] {
+                        in_pattern[j] = true;
+                        pattern.push(j);
+                    }
+                    work[j] -= f * v;
+                }
+            }
+            pattern.sort_unstable();
+            // The largest entry above `tol` pivots; ties go to the lowest
+            // column, so the basis is deterministic.
+            let (mut best, mut best_abs) = (None, tol);
+            for &j in &pattern {
+                if work[j].abs() > best_abs {
+                    best = Some(j);
+                    best_abs = work[j].abs();
+                }
+            }
+            let new_off: Vec<(usize, f64)> = match best {
+                Some(p) => {
+                    let scale = work[p];
+                    pattern
+                        .iter()
+                        .filter(|&&j| j != p)
+                        .map(|&j| (j, work[j] / scale))
+                        .filter(|&(_, v)| v.abs() > tol)
+                        .collect()
+                }
+                None => Vec::new(),
+            };
+            for &j in &pattern {
+                work[j] = 0.0;
+                in_pattern[j] = false;
+            }
+            let Some(p) = best else { continue };
+
+            // Eliminate the new pivot column from the earlier basis rows.
+            for k in std::mem::take(&mut rows_holding[p]) {
+                let Ok(at) = off[k].binary_search_by_key(&p, |&(j, _)| j) else {
+                    continue;
+                };
+                let f = off[k].remove(at).1;
+                merged.clear();
+                let (mut a, mut b) = (0, 0);
+                let old = &off[k];
+                while a < old.len() || b < new_off.len() {
+                    let (j, v) = if b == new_off.len() || (a < old.len() && old[a].0 < new_off[b].0)
+                    {
+                        a += 1;
+                        old[a - 1]
+                    } else if a == old.len() || new_off[b].0 < old[a].0 {
+                        let (j, v) = new_off[b];
+                        b += 1;
+                        rows_holding[j].push(k);
+                        (j, -f * v)
+                    } else {
+                        let e = (old[a].0, old[a].1 - f * new_off[b].1);
+                        a += 1;
+                        b += 1;
+                        e
+                    };
+                    if v.abs() > tol {
+                        merged.push((j, v));
+                    }
+                }
+                std::mem::swap(&mut off[k], &mut merged);
+            }
+            let k = pivot.len();
+            for &(j, _) in &new_off {
+                rows_holding[j].push(k);
+            }
+            row_of_pivot[p] = Some(k);
+            pivot.push(p);
+            off.push(new_off);
+        }
+
+        let mut identifiable = vec![false; n];
+        for (&p, entries) in pivot.iter().zip(&off) {
+            identifiable[p] = entries.iter().all(|&(_, v)| v.abs() <= IDENTIFIABLE_TOL);
+        }
+        (pivot.len(), identifiable)
     }
 }
 
@@ -267,11 +426,12 @@ pub fn should_use_sparse(rows: usize, cols: usize, nnz: usize) -> bool {
 /// ridge-regularized normal equations, reporting the same [`LstsqSolution`]
 /// diagnostics as the dense [`least_squares`](crate::lstsq::least_squares).
 ///
-/// Identifiability (when requested) is still derived from a dense null-space
-/// elimination — it is a rank question, not a solve question — so hot paths
-/// at scale should pass
-/// [`LstsqOptions::without_identifiability`] exactly as they do on the dense
-/// path.
+/// Identifiability (when requested) comes from
+/// [`SparseMatrix::identifiability`], the sparse echelon form: its cost is
+/// `O(Σ row fill)`, a small fraction of the CG solve at routing-system
+/// shapes, where the dense null-space elimination it replaces cost
+/// `O(rows · cols · rank)` plus a dense copy of `A`. `iterations` and
+/// `converged` report how CG ended.
 ///
 /// # Panics
 /// Panics if `b.len() != a.rows()`.
@@ -285,58 +445,68 @@ pub fn sparse_least_squares(a: &SparseMatrix, b: &Vector, opts: &LstsqOptions) -
             rank: 0,
             identifiable: Vec::new(),
             used_ridge_fallback: false,
+            iterations: 0,
+            converged: true,
         };
     }
 
     let (rank, identifiable) = if opts.compute_identifiability {
-        let ns = nullspace_with_tol(&a.to_dense(), opts.tol);
-        let rank = n - ns.cols();
-        let mut identifiable = vec![true; n];
-        for i in 0..n {
-            for j in 0..ns.cols() {
-                if ns[(i, j)].abs() > 1e-7 {
-                    identifiable[i] = false;
-                    break;
-                }
-            }
-        }
-        (rank, identifiable)
+        a.identifiability(opts.tol)
     } else {
         (n.min(a.rows()), vec![true; n])
     };
 
     let atb = a.at_matvec(b);
-    let x = conjugate_gradient_normal(a, &atb, opts.ridge);
-    let residual = &a.matvec(&x) - b;
+    let cg = conjugate_gradient_normal(a, &atb, opts.ridge);
+    let residual = &a.matvec(&cg.x) - b;
     LstsqSolution {
         residual_norm_sq: residual.dot(&residual),
-        x,
+        x: cg.x,
         rank,
         identifiable,
         used_ridge_fallback: true,
+        iterations: cg.iterations,
+        converged: cg.converged,
     }
+}
+
+/// How a CG solve ended.
+struct CgOutcome {
+    x: Vector,
+    iterations: usize,
+    converged: bool,
 }
 
 /// CG on `(AᵀA + λI) x = atb` from `x₀ = 0`. Converges in at most
 /// `distinct eigenvalues` steps in exact arithmetic; the iteration cap is a
 /// safety net for pathological rounding, not the expected exit.
-fn conjugate_gradient_normal(a: &SparseMatrix, atb: &Vector, ridge: f64) -> Vector {
+///
+/// Every vector lives in a buffer allocated once per solve.
+fn conjugate_gradient_normal(a: &SparseMatrix, atb: &Vector, ridge: f64) -> CgOutcome {
     let n = a.cols();
     let mut x = Vector::zeros(n);
     let mut r = atb.clone();
     let mut p = r.clone();
+    let mut ap = Vector::zeros(n);
     let mut rs = r.dot(&r);
     if rs == 0.0 {
-        return x;
+        return CgOutcome {
+            x,
+            iterations: 0,
+            converged: true,
+        };
     }
     // Converge well below the 1e-7 identifiability scale so the sparse
     // solution is indistinguishable from the dense ridge solve.
     let stop = rs * 1e-24;
     let max_iter = 4 * n + 40;
-    for _ in 0..max_iter {
-        let ap = a.normal_matvec(&p, ridge);
+    // (iterations taken, converged); the cap is the fall-through.
+    let mut ended = (max_iter, false);
+    for iteration in 1..=max_iter {
+        a.normal_matvec_into(&p, ridge, &mut ap);
         let p_ap = p.dot(&ap);
         if p_ap <= 0.0 || !p_ap.is_finite() {
+            ended = (iteration - 1, false);
             break;
         }
         let alpha = rs / p_ap;
@@ -344,15 +514,20 @@ fn conjugate_gradient_normal(a: &SparseMatrix, atb: &Vector, ridge: f64) -> Vect
         r.axpy(-alpha, &ap);
         let rs_next = r.dot(&r);
         if rs_next <= stop || !rs_next.is_finite() {
+            ended = (iteration, rs_next <= stop);
             break;
         }
         let beta = rs_next / rs;
         rs = rs_next;
-        let mut p_next = r.clone();
-        p_next.axpy(beta, &p);
-        p = p_next;
+        for (pi, &ri) in p.as_mut_slice().iter_mut().zip(r.as_slice()) {
+            *pi = ri + beta * *pi;
+        }
     }
-    x
+    CgOutcome {
+        x,
+        iterations: ended.0,
+        converged: ended.1,
+    }
 }
 
 #[cfg(test)]
@@ -444,6 +619,17 @@ mod tests {
         assert_eq!(sparse.rank, dense.rank);
         assert_eq!(sparse.identifiable, dense.identifiable);
         assert!((sparse.residual_norm_sq - dense.residual_norm_sq).abs() < 1e-6);
+        assert!(sparse.converged && sparse.iterations > 0);
+        assert!(dense.converged && dense.iterations == 0);
+    }
+
+    #[test]
+    fn non_finite_rhs_reports_an_unconverged_solve() {
+        let s = SparseMatrix::from_dense(&dense_fixture());
+        let b = Vector::from_slice(&[1.0, f64::NAN, 3.0, 4.0, 5.0]);
+        let sol = sparse_least_squares(&s, &b, &LstsqOptions::default());
+        assert!(!sol.converged);
+        assert_eq!(sol.x.len(), 4);
     }
 
     #[test]

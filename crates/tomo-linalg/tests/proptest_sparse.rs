@@ -6,11 +6,16 @@
 //! residuals bracketed by the dense optimum, and solutions that agree with
 //! the exact dense ridge solve wherever both sides minimize the same
 //! objective. Densities span the sparse→dense range so both sides of the
-//! `should_use_sparse` dispatch threshold are exercised.
+//! `should_use_sparse` dispatch threshold are exercised, and tall, very
+//! sparse systems at routing-system shapes check the sparse echelon
+//! identifiability past `SPARSE_MIN_COLS`, where eliminating a new pivot
+//! from earlier rows creates fill.
 
 use proptest::prelude::*;
+use tomo_linalg::nullspace::nullspace_with_tol;
 use tomo_linalg::{
     gauss, least_squares, sparse_least_squares, LstsqOptions, Matrix, SparseMatrix, Vector,
+    DEFAULT_TOL,
 };
 
 /// Strategy: a random 0/1 system `(A, b)` with `1..=max_rows` rows,
@@ -53,8 +58,79 @@ fn wide_binary_system() -> impl Strategy<Value = (Matrix, Vector)> {
     })
 }
 
+/// Strategy: a tall, very sparse 0/1 system shaped like a routing matrix:
+/// 64–160 columns, 1–4 ones per fresh row, with planted duplicate rows, rows
+/// that are the sum of two earlier rows with disjoint supports, and "series"
+/// columns that occur exactly where another column does (links no path
+/// separates, so neither is identifiable).
+fn routing_system() -> impl Strategy<Value = Matrix> {
+    (64..=160usize).prop_flat_map(|c| {
+        (
+            proptest::collection::vec(
+                (
+                    0..10u8,
+                    0..usize::MAX,
+                    0..usize::MAX,
+                    proptest::collection::vec(0..c, 1..=4),
+                ),
+                c..=(3 * c / 2),
+            ),
+            proptest::collection::vec((0..c, 0..c), 0..=4),
+        )
+            .prop_map(move |(specs, series)| {
+                let mut rows: Vec<Vec<usize>> = Vec::new();
+                for (kind, i, j, fresh) in specs {
+                    let row = match (kind, rows.len()) {
+                        (0, len) if len > 0 => rows[i % len].clone(),
+                        (1, len) if len > 0 => {
+                            let (a, b) = (&rows[i % len], &rows[j % len]);
+                            if a.iter().any(|x| b.contains(x)) {
+                                a.clone()
+                            } else {
+                                a.iter().chain(b).copied().collect()
+                            }
+                        }
+                        _ => fresh,
+                    };
+                    rows.push(row);
+                }
+                for (leader, follower) in series {
+                    if leader == follower {
+                        continue;
+                    }
+                    for row in &mut rows {
+                        row.retain(|&x| x != follower);
+                        if row.contains(&leader) {
+                            row.push(follower);
+                        }
+                    }
+                }
+                let mut a = Matrix::zeros(rows.len(), c);
+                for (r, row) in rows.iter().enumerate() {
+                    for &x in row {
+                        a[(r, x)] = 1.0;
+                    }
+                }
+                a
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn echelon_identifiability_matches_the_nullspace_oracle_at_routing_shapes(
+        a in routing_system(),
+    ) {
+        let ns = nullspace_with_tol(&a, DEFAULT_TOL);
+        let expected: Vec<bool> = (0..a.cols())
+            .map(|i| (0..ns.cols()).all(|j| ns[(i, j)].abs() <= 1e-7))
+            .collect();
+        let (rank, identifiable) = SparseMatrix::from_dense(&a).identifiability(DEFAULT_TOL);
+        prop_assert_eq!(rank, a.cols() - ns.cols());
+        prop_assert_eq!(identifiable, expected);
+    }
 
     #[test]
     fn csr_roundtrip_preserves_the_dense_matrix(sys in binary_system(16, 12)) {
@@ -87,7 +163,13 @@ proptest! {
         for i in 0..a.cols() {
             ata[(i, i)] += ridge;
         }
-        prop_assert!(csr.normal_matvec(&x, ridge).approx_eq(&ata.matvec(&x), 1e-10));
+        let mut normal = Vector::zeros(a.cols());
+        csr.normal_matvec_into(&x, ridge, &mut normal);
+        prop_assert!(normal.approx_eq(&ata.matvec(&x), 1e-10));
+        // The fused single pass is bit-identical to the composed products.
+        let mut composed = csr.at_matvec(&csr.matvec(&x));
+        composed.axpy(ridge, &x);
+        prop_assert_eq!(normal.as_slice(), composed.as_slice());
         prop_assert!(csr.normal_matrix(ridge).approx_eq(&ata, 1e-12));
     }
 

@@ -193,21 +193,26 @@ impl ProbabilityComputation for Independence {
             least_squares(&a, &b, &opts)
         };
 
+        // A solve that gave up (e.g. a non-finite right-hand side from an
+        // unclamped empirical zero) pins down no unknown, whatever the
+        // matrix's rank says.
+        let identifiable: Vec<bool> = if !sol.converged {
+            vec![false; pc_links.len()]
+        } else if cfg.compute_identifiability {
+            sol.identifiable
+        } else {
+            vec![true; pc_links.len()]
+        };
         for (c, &l) in pc_links.iter().enumerate() {
             let good = sol.x[c].exp().clamp(0.0, 1.0);
-            let identifiable = if cfg.compute_identifiability {
-                sol.identifiable[c]
-            } else {
-                true
-            };
-            estimate.set_link(l, 1.0 - good, identifiable);
+            estimate.set_link(l, 1.0 - good, identifiable[c]);
         }
 
         estimate.diagnostics = EstimateDiagnostics {
             num_equations,
             num_unknowns: pc_links.len(),
             rank: sol.rank,
-            identifiable_targets: sol.identifiable.iter().filter(|&&b| b).count(),
+            identifiable_targets: identifiable.iter().filter(|&&b| b).count(),
             total_targets: pc_links.len(),
         };
         estimate
